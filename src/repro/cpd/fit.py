@@ -21,8 +21,20 @@ __all__ = ["tensor_norm", "cp_norm", "cp_innerprod", "cp_fit"]
 
 
 def tensor_norm(tensor: CooTensor) -> float:
-    """Frobenius norm of a sparse tensor."""
-    return float(np.linalg.norm(tensor.values))
+    """Frobenius norm of a sparse tensor.
+
+    A :class:`~repro.tensor.shards.ShardedCooTensor` is streamed one shard
+    at a time, so its values are never resident at once; the sum of
+    squares is associated per shard, so it agrees with the in-memory norm
+    to rounding, not bit for bit.
+    """
+    if not getattr(tensor, "is_sharded", False):
+        return float(np.linalg.norm(tensor.values))
+    sq = 0.0
+    for chunk in tensor.iter_chunks():
+        values = np.asarray(chunk.values, dtype=np.float64)
+        sq += float(values @ values)
+    return float(np.sqrt(sq))
 
 
 def cp_norm(weights: np.ndarray, factors: list[np.ndarray],

@@ -30,7 +30,13 @@ The Hadamard accumulator is formed by scaling the *first* gathered factor
 by the values directly — no ``(nnz, R)`` all-ones matrix is materialised —
 and is computed in the requested compute dtype (``float32`` halves the
 memory traffic of this bandwidth-bound kernel; see
-:mod:`repro.util.dtypes`).
+:mod:`repro.util.dtypes`).  It stays row-major ``(nnz, R)``, unlike the
+CSF tree's rank-major scratch (:mod:`repro.kernels.csf_mttkrp`): COO has
+no tree levels, only the ``"sort"`` accumulator's single reduction, and
+converting the non-target factors to ``(R, I)`` on every call costs
+0.06-0.08 s per mode on the ``als-hypersparse`` benchmark tensor
+(2e5-4e5-row factors, R=32, 2 x86 cores).  That is a quarter to a half of
+the 0.15-0.26 s its 7e4-1.2e5-nnz HB-CSF COO group takes.
 """
 
 from __future__ import annotations

@@ -10,6 +10,16 @@ the target mode it is exactly Equation (8) / Algorithm 3:
 
 Factoring the reductions this way is what saves the ``R (J - 1)``
 multiplications per fiber relative to COO (Section II-C).
+
+The scratch is rank-major: leaf rows are gathered into an ``(R, nnz)``
+buffer and every level reduces along the contiguous axis with
+``reduceat(axis=1)``.  Each output element is summed in the same order as
+in a row-major ``(nnz, R)`` layout, so the result is bit-identical to it,
+but the contiguous reduction runs several times faster than
+``reduceat(axis=0)``.  The gathers read C-ordered ``(R, I)`` copies of the
+non-root factors, made once per call by :func:`rank_major`.  A factor with
+more rows than the tree has nonzeros is not worth copying whole; its rows
+are gathered row-major and used through a transposed view.
 """
 
 from __future__ import annotations
@@ -23,9 +33,10 @@ from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, TensorFormatError
 
-__all__ = ["csf_mttkrp", "segment_sum", "DEFAULT_SLAB_ELEMS", "slab_nnz_for"]
+__all__ = ["csf_mttkrp", "csf_mttkrp_rank_major", "rank_major",
+           "segment_sum", "DEFAULT_SLAB_ELEMS", "slab_nnz_for"]
 
-#: soft cap on the elements of the ``(nnz, R)`` scratch the tree reduction
+#: soft cap on the elements of the ``(R, nnz)`` scratch the tree reduction
 #: materialises per slab (2^22 float64 elements = 32 MB).  Tensors whose
 #: nonzero count fits one slab take the exact historical single-pass path;
 #: larger tensors are evaluated in root-aligned slabs so peak scratch stays
@@ -43,33 +54,79 @@ def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
     return max(1, DEFAULT_SLAB_ELEMS // max(rank, 1))
 
 
-def segment_sum(data: np.ndarray, ptr: np.ndarray,
+#: factor rows per block of :func:`rank_major`'s copy.  A whole-array
+#: ``np.ascontiguousarray(F.T)`` strides through memory and costs ~6x the
+#: blocked copy on a 300000x32 factor; 2048-row blocks stay cache-resident.
+_TRANSPOSE_BLOCK = 2048
+
+
+def rank_major(factors: list[np.ndarray], skip: int,
+               nnz: int) -> list[np.ndarray | None]:
+    """C-ordered ``(R, I)`` copies of the factors a ``nnz``-nonzero CSF
+    tree rooted at mode ``skip`` gathers from.
+
+    The root factor is never read, so its slot is ``None``.  So is the slot
+    of a factor with more rows than the tree has nonzeros: copying it whole
+    would cost more than the gathers it serves, so the kernel gathers its
+    rows from the row-major factor instead.
+    """
+    out: list[np.ndarray | None] = []
+    for m, f in enumerate(factors):
+        rows, rank = f.shape
+        if m == skip or rows > nnz:
+            out.append(None)
+            continue
+        ft = np.empty((rank, rows), dtype=f.dtype)
+        for lo in range(0, rows, _TRANSPOSE_BLOCK):
+            ft[:, lo:lo + _TRANSPOSE_BLOCK] = f[lo:lo + _TRANSPOSE_BLOCK].T
+        out.append(ft)
+    return out
+
+
+def _gather(factors: list[np.ndarray], factors_t: list, mode: int,
+            idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of factor ``mode`` as a fresh ``(R, len(idx))`` array.
+
+    C-ordered when gathered from a :func:`rank_major` copy; otherwise the
+    transposed view of a row-major gather, which every operation of the
+    tree reduction accepts with the same bits, only more slowly.
+    """
+    ft = factors_t[mode]
+    if ft is not None:
+        return np.take(ft, idx, axis=1)
+    return factors[mode][idx].T
+
+
+def segment_sum(data: np.ndarray, ptr: np.ndarray, axis: int = 0,
                 validate: bool = True) -> np.ndarray:
-    """Sum ``data`` rows over segments ``[ptr[n], ptr[n+1])``.
+    """Sum ``data`` along ``axis`` over segments ``[ptr[n], ptr[n+1])``.
 
     CSF guarantees no empty internal nodes, so every segment is non-empty,
-    which lets us use ``np.add.reduceat`` directly.
+    which lets us use ``np.add.reduceat`` directly.  ``axis=0`` reduces the
+    rows of an ``(nnz, R)`` array (CSL); ``axis=1`` reduces the columns of
+    a rank-major ``(R, nnz)`` array (CSF tree levels), with bit-identical
+    sums.
 
     ``validate=False`` skips the ``np.diff`` monotonicity scan (an extra
     O(len(ptr)) pass) for internal call sites — the CSF/B-CSF kernels and
     validated :class:`~repro.core.csl.CslGroup` structures — whose builders
     already guarantee non-empty monotone segments.
     """
+    if validate and ptr.shape[0] == 0:
+        raise TensorFormatError("pointer array must have at least one entry")
+    if ptr.shape[0] == 1:
+        shape = list(data.shape)
+        shape[axis] = 0
+        return np.zeros(shape, dtype=data.dtype)
     if validate:
-        if ptr.shape[0] == 0:
-            raise TensorFormatError("pointer array must have at least one entry")
-        n_seg = ptr.shape[0] - 1
-        if n_seg == 0:
-            return np.zeros((0,) + data.shape[1:], dtype=data.dtype)
-        if data.shape[0] != int(ptr[-1]):
+        if data.shape[axis] != int(ptr[-1]):
             raise TensorFormatError(
-                f"pointer array covers {int(ptr[-1])} rows but data has {data.shape[0]}"
+                f"pointer array covers {int(ptr[-1])} entries but data has "
+                f"{data.shape[axis]} along axis {axis}"
             )
         if np.any(np.diff(ptr) <= 0):
             raise TensorFormatError("segment_sum requires non-empty, monotone segments")
-    elif ptr.shape[0] == 1:
-        return np.zeros((0,) + data.shape[1:], dtype=data.dtype)
-    return np.add.reduceat(data, ptr[:-1], axis=0)
+    return np.add.reduceat(data, ptr[:-1], axis=axis)
 
 
 def csf_mttkrp(
@@ -128,19 +185,35 @@ def csf_mttkrp(
         raise DimensionError(f"out has shape {out.shape}, expected {(rows, rank)}")
     if csf.nnz == 0:
         return out
+    factors = [np.asarray(f, dtype=out.dtype) for f in factors]
+    factors_t = rank_major(factors, mode, csf.nnz)
+    return csf_mttkrp_rank_major(csf, factors, factors_t, out, validate,
+                                 slab_nnz)
 
-    order = csf.order
-    compute_dtype = out.dtype
-    factors = [np.asarray(f, dtype=compute_dtype) for f in factors]
-    values = csf.values.astype(compute_dtype, copy=False)
 
-    slab = slab_nnz_for(rank, slab_nnz)
+def csf_mttkrp_rank_major(csf: CsfTensor, factors: list[np.ndarray],
+                          factors_t: list[np.ndarray | None],
+                          out: np.ndarray, validate: bool = True,
+                          slab_nnz: int | None = None) -> np.ndarray:
+    """:func:`csf_mttkrp` with the factor conversion already done.
+
+    ``factors`` must already be cast to ``out.dtype``, ``factors_t`` must
+    come from :func:`rank_major` for them and ``csf.root_mode``, and
+    ``out`` is the ``(shape[root], R)`` accumulator.  Lets a caller that
+    runs several CSF trees against the same factors (the threaded
+    backend's shards) convert them once.
+    """
+    if csf.nnz == 0:
+        return out
+    values = csf.values.astype(out.dtype, copy=False)
+
+    slab = slab_nnz_for(out.shape[1], slab_nnz)
     if csf.nnz <= slab:
         # single-slab tensor: one cooperative boundary before the pass
         fault_point("kernel.slab")
         check_deadline("kernel.slab")
         _tree_reduce(values, csf.fids, csf.fptr, csf.mode_order, factors,
-                     out, validate)
+                     factors_t, out, validate)
         return out
 
     # Leaf offset of every root-entry boundary: chain the pointer levels.
@@ -169,32 +242,35 @@ def csf_mttkrp(
             lo, hi = int(ptr[lo]), int(ptr[hi])
         fids.append(csf.fids[-1][lo:hi])
         _tree_reduce(values[lo:hi], fids, fptr, csf.mode_order, factors,
-                     out, validate)
+                     factors_t, out, validate)
         start = stop
     return out
 
 
 def _tree_reduce(values: np.ndarray, fids: list, fptr: list,
                  mode_order: tuple, factors: list[np.ndarray],
-                 out: np.ndarray, validate: bool) -> None:
+                 factors_t: list, out: np.ndarray, validate: bool) -> None:
     """Bottom-up CSF tree reduction over one (slab of a) tensor,
-    accumulated into ``out``.  ``fptr`` entries must be rebased to start
-    at 0 and ``values``/``fids`` sliced consistently."""
+    accumulated into ``out``.  ``factors_t`` is ``rank_major(factors,
+    ...)``, ``fptr`` entries must be rebased to start at 0 and
+    ``values``/``fids`` sliced consistently."""
     order = len(mode_order)
-    # Leaf level: val * A_leafmode[leaf index, :].  The gather is a fresh
-    # copy, so scaling it in place keeps one (nnz, R) array live instead
-    # of two (multiplication is commutative bit-for-bit).
-    leaf_mode = mode_order[-1]
-    buf = factors[leaf_mode][fids[-1]]
-    buf *= values[:, None]
+    # Leaf level: val * A_leafmode[leaf index, :], stored as (R, nnz).  The
+    # gather is a fresh copy, so scaling it in place keeps one scratch
+    # array live instead of two (multiplication is commutative
+    # bit-for-bit).
+    buf = _gather(factors, factors_t, mode_order[-1], fids[-1])
+    buf *= values[None, :]
 
     # Reduce up the tree, scaling by the factor of each internal level except
     # the root.
     for level in range(order - 2, 0, -1):
-        buf = segment_sum(buf, fptr[level], validate=validate)
-        level_mode = mode_order[level]
-        buf *= factors[level_mode][fids[level]]
+        buf = segment_sum(buf, fptr[level], axis=1, validate=validate)
+        buf *= _gather(factors, factors_t, mode_order[level], fids[level])
 
     # Root level: reduce fibers (or sub-trees) into slices and scatter.
-    slice_vals = segment_sum(buf, fptr[0], validate=validate)
-    np.add.at(out, fids[0], slice_vals)
+    # The CSF contract does not make root ids unique (a slice split into
+    # several root entries repeats its id), so the scatter must accumulate
+    # (``add.at``), not assign.
+    slice_vals = segment_sum(buf, fptr[0], axis=1, validate=validate)
+    np.add.at(out, fids[0], slice_vals.T)

@@ -5,6 +5,14 @@ nonzero, a slice pointer that addresses the nonzeros directly — the fiber
 level is skipped.  Per nonzero the kernel forms the Hadamard product of the
 non-root factor rows (like COO) but the root index is read once per slice
 and the per-slice partial sums need no atomics.
+
+The ``(nnz, R)`` scratch stays row-major, unlike the CSF kernel's rank-major
+``(R, nnz)`` one (:mod:`repro.kernels.csf_mttkrp`).  A rank-major CSL would
+convert every non-root factor to ``(R, I)`` on every call, and CSL groups
+hold the short slices that hypersparse tensors with long factors are made
+of.  Measured on 2 x86 cores with the ``als-hypersparse`` benchmark tensor
+(2e5 nnz, 2e5-4e5-row factors, R=32), the conversion alone costs
+0.06-0.08 s per call against 0.08-0.17 s for the whole CSL group kernel.
 """
 
 from __future__ import annotations

@@ -26,9 +26,14 @@ from repro.util.errors import DimensionError, ValidationError
 __all__ = ["threaded_mttkrp"]
 
 
-def _run_shard(shard: Shard, factors: list[np.ndarray], mode: int,
-               out: np.ndarray, coo_method: str | None) -> None:
-    """Execute one shard's serial kernel into the shared output."""
+def _run_shard(shard: Shard, factors: list[np.ndarray],
+               factors_t: list | None, mode: int, out: np.ndarray,
+               coo_method: str | None) -> None:
+    """Execute one shard's serial kernel into the shared output.
+
+    ``factors_t`` holds the rank-major factor copies every CSF shard of the
+    call shares (see :func:`repro.kernels.csf_mttkrp.rank_major`).
+    """
     if shard.kind == "coo":
         from repro.kernels.coo_mttkrp import coo_mttkrp
 
@@ -36,9 +41,10 @@ def _run_shard(shard: Shard, factors: list[np.ndarray], mode: int,
                    method=coo_method or shard.coo_method or "auto",
                    validate=False)
     elif shard.kind == "csf":
-        from repro.kernels.csf_mttkrp import csf_mttkrp
+        from repro.kernels.csf_mttkrp import csf_mttkrp_rank_major
 
-        csf_mttkrp(shard.rep, factors, out=out, validate=False)
+        csf_mttkrp_rank_major(shard.rep, factors, factors_t, out,
+                              validate=False)
     elif shard.kind == "csl":
         shard.rep.mttkrp(factors, out, validate=False)
     else:  # pragma: no cover - partitioner only emits the three kinds
@@ -95,15 +101,24 @@ def threaded_mttkrp(
         return out
 
     # cast once here so pool threads share the cast arrays instead of each
-    # shard's kernel casting its own copy
+    # shard's kernel casting its own copy; likewise the CSF shards share one
+    # rank-major conversion per call instead of one per shard
     factors = [np.asarray(f, dtype=out.dtype) for f in factors]
+    csf_nnz = sum(shard.rep.nnz for shard in plan.shards
+                  if shard.kind == "csf")
+    factors_t = None
+    if csf_nnz:
+        from repro.kernels.csf_mttkrp import rank_major
+
+        factors_t = rank_major(factors, mode, csf_nnz)
     buckets = [(w, b) for w, b in enumerate(plan.worker_shards()) if b]
     counter_add("parallel.dispatches")
     counter_add("parallel.shards", len(plan.shards))
     if not tracing_enabled():
         run_tasks([
             (lambda bucket=bucket: [
-                _run_shard(shard, factors, mode, out, coo_method)
+                _run_shard(shard, factors, factors_t, mode, out,
+                           coo_method)
                 for shard in bucket
             ])
             for _, bucket in buckets
@@ -125,7 +140,8 @@ def threaded_mttkrp(
         def _run_traced(worker: int, shard: Shard) -> None:
             with span("parallel.shard", parent=parent_id, worker=worker,
                       cost=shard.cost, kind=shard.kind):
-                _run_shard(shard, factors, mode, out, coo_method)
+                _run_shard(shard, factors, factors_t, mode, out,
+                           coo_method)
 
         run_tasks([
             (lambda worker=worker, bucket=bucket: [

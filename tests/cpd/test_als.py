@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cpd.als import cp_als
+from repro.cpd.fit import tensor_norm
 from repro.cpd.init import init_factors
 from repro.tensor.coo import CooTensor
+from repro.tensor.shards import save_sharded
 from repro.util.errors import ValidationError
 from repro.util.prng import default_rng
 
@@ -73,6 +75,28 @@ class TestFormats:
         result = cp_als(small3d, rank=2, n_iters=2, tol=0.0, compute_fit=False, rng=10)
         assert result.fits == []
         assert result.iterations == 2
+
+
+class TestShardedInput:
+    """``cp_als`` accepts a :class:`ShardedCooTensor` directly: the plans
+    stream the shards and the norm is streamed shard by shard."""
+
+    def test_tensor_norm_streams_shards(self, skewed3d, tmp_path):
+        sharded = save_sharded(skewed3d, tmp_path / "s", shard_nnz=97)
+        assert sharded.num_shards > 1
+        assert tensor_norm(sharded) == pytest.approx(tensor_norm(skewed3d),
+                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["coo", "csf", "b-csf", "hb-csf"])
+    def test_matches_in_memory(self, skewed3d, tmp_path, fmt):
+        sharded = save_sharded(skewed3d, tmp_path / "s", shard_nnz=97)
+        ref = cp_als(skewed3d, 4, n_iters=4, tol=0.0, format=fmt, rng=12)
+        got = cp_als(sharded, 4, n_iters=4, tol=0.0, format=fmt, rng=12)
+        assert got.iterations == ref.iterations == 4
+        np.testing.assert_array_equal(got.weights, ref.weights)
+        for a, b in zip(got.factors, ref.factors):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(got.fits, ref.fits, rtol=1e-12)
 
 
 class TestValidation:

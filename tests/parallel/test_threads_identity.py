@@ -9,6 +9,8 @@ counts.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -149,4 +151,34 @@ def test_out_accumulation_matches_serial(skewed3d):
                          backend="serial")
     threaded = spec.mttkrp(built.rep, factors, 0, out=base.copy(),
                            backend="threads", num_workers=2)
+    assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("fmt", ["csf", "b-csf", "hb-csf"])
+def test_csf_shards_share_one_factor_conversion(fmt, skewed3d, monkeypatch):
+    """A threaded call converts the factors to rank-major once and hands
+    the copies to every CSF shard instead of converting per shard."""
+    kernel = importlib.import_module("repro.kernels.csf_mttkrp")
+    calls = {"rank_major": 0, "shards": 0}
+    rank_major = kernel.rank_major
+    run_shard = kernel.csf_mttkrp_rank_major
+
+    def counting_rank_major(*args, **kwargs):
+        calls["rank_major"] += 1
+        return rank_major(*args, **kwargs)
+
+    def counting_shard(*args, **kwargs):
+        calls["shards"] += 1
+        return run_shard(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "rank_major", counting_rank_major)
+    monkeypatch.setattr(kernel, "csf_mttkrp_rank_major", counting_shard)
+    spec = get_format(fmt)
+    built = build_plan(skewed3d, fmt, 0, None, "float64")
+    factors = make_factors(skewed3d.shape, 8, seed=5)
+    threaded = spec.mttkrp(built.rep, factors, 0, backend="threads",
+                           num_workers=4)
+    assert calls["shards"] > 1
+    assert calls["rank_major"] == 1
+    serial = spec.mttkrp(built.rep, factors, 0, backend="serial")
     assert np.array_equal(serial, threaded)
