@@ -125,7 +125,7 @@ class BcsfTensor:
 
 
 def build_bcsf(
-    tensor: CooTensor | CsfTensor,
+    tensor,
     mode: int = 0,
     config: SplitConfig | None = None,
 ) -> BcsfTensor:
@@ -134,8 +134,9 @@ def build_bcsf(
     Parameters
     ----------
     tensor:
-        COO tensor (a CSF is built first) or an existing CSF whose root mode
-        must equal ``mode``.
+        COO tensor, in memory or sharded (a CSF is built first by
+        :func:`~repro.tensor.csf.build_csf`), or an existing CSF whose root
+        mode must equal ``mode``.
     mode:
         Root mode of the representation.
     config:

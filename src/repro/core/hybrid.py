@@ -9,6 +9,16 @@ stored in the representation that wastes the least space and work on it:
 
 One MTTKRP call executes the three group kernels and accumulates into the
 same output matrix, exactly as lines 18-20 of Algorithm 5.
+
+:func:`build_hbcsf` never builds the full CSF tree.  It reads the tensor
+through the sorted-chunk protocol of :func:`repro.tensor.csf.build_csf`
+(one chunk in memory, one per sorted shard out of core): a
+:class:`_PartitionScanner` pass classifies every slice by its nonzero count
+and its longest fiber, then a second pass routes each chunk's rows by their
+slice's group straight into preallocated COO / CSL arrays and a CSF
+assembler restricted to the B-CSF slices.  Group membership is per whole
+slice and the stream is mode-sorted, so each routed sub-stream is itself
+sorted and every slice is stored exactly once, in its group's format.
 """
 
 from __future__ import annotations
@@ -18,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bcsf import BcsfTensor, build_bcsf
-from repro.core.csl import CslGroup, build_csl_group, empty_csl_group
+from repro.core.csl import CslGroup, empty_csl_group
 from repro.core.splitting import SplitConfig
 from repro.kernels.coo_mttkrp import coo_mttkrp
-from repro.tensor.coo import CooTensor, INDEX_DTYPE
-from repro.tensor.csf import CsfTensor, build_csf
+from repro.tensor.coo import (CooTensor, INDEX_DTYPE, VALUE_DTYPE,
+                              csf_mode_ordering)
+from repro.tensor.csf import CsfTensor, _CsfAssembler, _level_bounds
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError
@@ -52,27 +63,24 @@ class SlicePartition:
             raise DimensionError("slice partition is not an exact 3-way partition")
 
 
-def partition_slices(csf: CsfTensor) -> SlicePartition:
-    """Classify each slice per the rules of Algorithm 5 (lines 10-16)."""
-    num_slices = csf.num_slices
-    if num_slices == 0:
-        empty = np.zeros(0, dtype=bool)
-        return SlicePartition(empty, empty.copy(), empty.copy())
-
-    nnz_per_slice = csf.nnz_per_slice()
-    fiber_nnz = csf.nnz_per_fiber()
-    slice_of_fiber = csf.slice_of_fiber()
-
-    # A slice is "all singleton fibers" iff its maximum fiber length is 1.
-    max_fiber_len = np.zeros(num_slices, dtype=np.int64)
-    np.maximum.at(max_fiber_len, slice_of_fiber, fiber_nnz)
-
+def _classify_slices(nnz_per_slice: np.ndarray,
+                     max_fiber_len: np.ndarray) -> SlicePartition:
+    """The rules of Algorithm 5 (lines 10-16), per slice: one nonzero →
+    COO; otherwise every fiber a singleton (longest fiber 1) → CSL; the
+    rest → B-CSF."""
     coo_mask = nnz_per_slice == 1
     csl_mask = (~coo_mask) & (max_fiber_len == 1)
     csf_mask = ~(coo_mask | csl_mask)
     partition = SlicePartition(coo_mask, csl_mask, csf_mask)
     partition.validate()
     return partition
+
+
+def partition_slices(csf: CsfTensor) -> SlicePartition:
+    """Classify each slice of a built CSF tree per Algorithm 5."""
+    max_fiber_len = np.zeros(csf.num_slices, dtype=np.int64)
+    np.maximum.at(max_fiber_len, csf.slice_of_fiber(), csf.nnz_per_fiber())
+    return _classify_slices(csf.nnz_per_slice(), max_fiber_len)
 
 
 @dataclass(frozen=True)
@@ -177,62 +185,178 @@ class HbcsfTensor:
         }
 
 
-def build_hbcsf(
-    tensor: CooTensor | CsfTensor,
-    mode: int = 0,
-    config: SplitConfig | None = None,
-) -> HbcsfTensor:
-    """Build the HB-CSF representation rooted at ``mode`` (Algorithm 5)."""
+class _PartitionScanner:
+    """One pass over sorted chunks collecting, per root index, the
+    statistics Algorithm 5 partitions on — nonzeros per slice and maximum
+    fiber length per slice — plus the per-level node counts of the would-be
+    B-CSF subtree, so :func:`build_hbcsf` can preallocate every output
+    array without building the full CSF tree or running a second counting
+    pass.
+    """
+
+    def __init__(self, shape: tuple[int, ...],
+                 mode_order: tuple[int, ...]) -> None:
+        self.mode_order = mode_order
+        self.order = len(shape)
+        dim = shape[mode_order[0]]
+        self.nnz_per_root = np.zeros(dim, dtype=np.int64)
+        # per-root node counts for internal levels 1 .. order-2
+        self.level_counts = [np.zeros(dim, dtype=np.int64)
+                             for _ in range(self.order - 2)]
+        self.max_fiber_len = np.zeros(dim, dtype=np.int64)
+        self._prev: np.ndarray | None = None
+        self._open_len = 0    # nonzeros of the fiber still open at the edge
+        self._open_root = -1  # root index that open fiber belongs to
+
+    def scan(self, idx: np.ndarray) -> None:
+        n = idx.shape[0]
+        if n == 0:
+            return
+        bounds = _level_bounds(idx, self.mode_order, self._prev)
+        dim = self.nnz_per_root.shape[0]
+        root = idx[:, self.mode_order[0]]
+        self.nnz_per_root += np.bincount(root, minlength=dim)
+        for level in range(1, self.order - 1):
+            self.level_counts[level - 1] += np.bincount(
+                root[bounds[level]], minlength=dim)
+        # Fiber lengths are gaps between starts at the deepest internal
+        # level; a fiber spanning a chunk edge is carried as (_open_len,
+        # _open_root) and closed by the next start (or finish()).
+        starts = np.flatnonzero(bounds[self.order - 2])
+        if starts.shape[0] == 0:
+            self._open_len += n
+        else:
+            if self._open_root >= 0:
+                first = self._open_len + int(starts[0])
+                if first > self.max_fiber_len[self._open_root]:
+                    self.max_fiber_len[self._open_root] = first
+            if starts.shape[0] > 1:
+                np.maximum.at(self.max_fiber_len, root[starts[:-1]],
+                              np.diff(starts))
+            self._open_len = n - int(starts[-1])
+            self._open_root = int(root[starts[-1]])
+        self._prev = np.array(idx[-1])
+
+    def finish(self) -> tuple[np.ndarray, SlicePartition]:
+        """Close the last fiber; return (present root ids, partition).
+
+        ``present`` lists the root indices that hold nonzeros in ascending
+        order — exactly the slice order of the CSF tree — and the
+        partition classifies them with :func:`_classify_slices`, the rule
+        :func:`partition_slices` applies to a built tree.
+        """
+        if self._open_root >= 0 and \
+                self._open_len > self.max_fiber_len[self._open_root]:
+            self.max_fiber_len[self._open_root] = self._open_len
+        present = np.flatnonzero(self.nnz_per_root)
+        return present, _classify_slices(self.nnz_per_root[present],
+                                         self.max_fiber_len[present])
+
+
+def build_hbcsf(tensor, mode: int = 0,
+                config: SplitConfig | None = None) -> HbcsfTensor:
+    """Build the HB-CSF representation rooted at ``mode`` (Algorithm 5).
+
+    ``tensor`` is a :class:`CooTensor` or a
+    :class:`~repro.tensor.shards.ShardedCooTensor`; both are read through
+    ``sorted_view(mode_order, dedup=True).iter_chunks()``.  A
+    :class:`_PartitionScanner` pass sizes the three groups, then each
+    chunk's rows are routed by their root slice's group straight into
+    preallocated COO / CSL arrays or a CSF assembler fed only the B-CSF
+    slices, which :func:`~repro.core.bcsf.build_bcsf` then splits.
+    """
     config = config or SplitConfig()
-    if isinstance(tensor, CsfTensor):
-        if tensor.root_mode != mode:
-            raise DimensionError(
-                f"CSF is rooted at mode {tensor.root_mode}, requested mode {mode}"
-            )
-        csf = tensor
+    if tensor.order < 2:
+        raise DimensionError("HB-CSF requires an order >= 2 tensor")
+    shape = tensor.shape
+    order = tensor.order
+    mode_order = csf_mode_ordering(order, mode)
+    root = mode_order[0]
+    view = tensor.sorted_view(mode_order, dedup=True)
+
+    scanner = _PartitionScanner(shape, mode_order)
+    for chunk in view.iter_chunks():
+        scanner.scan(chunk.indices)
+    present, partition = scanner.finish()
+    nnz_present = scanner.nnz_per_root[present]
+
+    # COO group: one nonzero per slice, rows in stream (= sorted) order.
+    coo_nnz = int(partition.coo_mask.sum())
+    coo_idx = np.empty((coo_nnz, order), dtype=INDEX_DTYPE)
+    coo_vals = np.empty(coo_nnz, dtype=VALUE_DTYPE)
+
+    # CSL group: non-root columns in mode_order[1:]; the slice pointer
+    # comes straight from the scanner's per-slice nonzero counts.
+    csl_nnz = int(nnz_present[partition.csl_mask].sum())
+    rest_indices = np.empty((csl_nnz, order - 1), dtype=INDEX_DTYPE)
+    csl_vals = np.empty(csl_nnz, dtype=VALUE_DTYPE)
+
+    # B-CSF group: a CSF assembler whose level sizes are preset from the
+    # scanner's per-root node counts — no count() pass over the stream.
+    csf_roots = present[partition.csf_mask]
+    asm = _CsfAssembler(shape, mode_order)
+    asm.node_counts = [csf_roots.shape[0]] + [
+        int(counts[csf_roots].sum()) for counts in scanner.level_counts]
+    asm.nnz = int(nnz_present[partition.csf_mask].sum())
+    asm.allocate()
+
+    # 0 = COO, 1 = CSL, 2 = B-CSF; roots absent from the stream never
+    # appear in a chunk, so their (arbitrary) label is never read.
+    group_of_root = np.zeros(shape[root], dtype=np.int8)
+    group_of_root[present[partition.csl_mask]] = 1
+    group_of_root[csf_roots] = 2
+
+    coo_pos = csl_pos = 0
+    for chunk in view.iter_chunks():
+        idx, vals = chunk.indices, chunk.values
+        grp = group_of_root[idx[:, root]]
+        sel = grp == 0
+        k = int(sel.sum())
+        if k:
+            coo_idx[coo_pos:coo_pos + k] = idx[sel]
+            coo_vals[coo_pos:coo_pos + k] = vals[sel]
+            coo_pos += k
+        sel = grp == 1
+        k = int(sel.sum())
+        if k:
+            rows = idx[sel]
+            for col, m in enumerate(mode_order[1:]):
+                rest_indices[csl_pos:csl_pos + k, col] = rows[:, m]
+            csl_vals[csl_pos:csl_pos + k] = vals[sel]
+            csl_pos += k
+        sel = grp == 2
+        if sel.any():
+            asm.fill(idx[sel], vals[sel])
+
+    coo_group = (CooTensor(coo_idx, coo_vals, shape, validate=False)
+                 if coo_nnz else CooTensor.empty(shape))
+
+    if csl_nnz:
+        slice_ptr = np.concatenate(
+            [[0], np.cumsum(nnz_present[partition.csl_mask])]
+        ).astype(INDEX_DTYPE)
+        csl_group = CslGroup(
+            shape=shape,
+            mode_order=mode_order,
+            slice_ptr=slice_ptr,
+            slice_inds=present[partition.csl_mask].astype(INDEX_DTYPE),
+            rest_indices=rest_indices,
+            values=csl_vals,
+        )
+        csl_group.validate()
     else:
-        csf = build_csf(tensor, mode)
+        csl_group = empty_csl_group(shape, mode_order)
 
-    partition = partition_slices(csf)
-
-    # --- COO group: slices with a single nonzero ------------------------ #
-    coo_group = _extract_coo_group(csf, partition.coo_mask)
-
-    # --- CSL group: slices with only singleton fibers ------------------- #
-    if partition.csl_mask.any():
-        csl_group = build_csl_group(csf, partition.csl_mask)
-    else:
-        csl_group = empty_csl_group(csf.shape, csf.mode_order)
-
-    # --- B-CSF group: the rest ------------------------------------------ #
     bcsf_group: BcsfTensor | None = None
-    if partition.csf_mask.any():
-        remaining = _extract_subtensor(csf, partition.csf_mask)
-        bcsf_group = build_bcsf(remaining, mode, config)
+    if asm.nnz:
+        bcsf_group = build_bcsf(asm.finish(), mode, config)
 
     return HbcsfTensor(
-        shape=csf.shape,
-        mode_order=csf.mode_order,
+        shape=shape,
+        mode_order=mode_order,
         partition=partition,
         coo_group=coo_group,
         csl_group=csl_group,
         bcsf_group=bcsf_group,
         config=config,
     )
-
-
-def _extract_coo_group(csf: CsfTensor, mask: np.ndarray) -> CooTensor:
-    """COO tensor holding the nonzeros of the masked slices."""
-    if not mask.any() or csf.nnz == 0:
-        return CooTensor.empty(csf.shape)
-    coo = _extract_subtensor(csf, mask)
-    return coo
-
-
-def _extract_subtensor(csf: CsfTensor, mask: np.ndarray) -> CooTensor:
-    """COO tensor restricted to the slices selected by ``mask``."""
-    leaf_slice = csf.node_index_of_leaf(0)
-    keep = np.asarray(mask, dtype=bool)[leaf_slice]
-    full = csf.to_coo()
-    return CooTensor(full.indices[keep], full.values[keep], csf.shape,
-                     validate=False)

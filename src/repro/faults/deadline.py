@@ -10,10 +10,10 @@ so hitting a budget degrades gracefully instead of discarding work.
 The *ambient* deadline is a :mod:`contextvars` variable:
 :func:`deadline_scope` installs one for a region and deep call sites poll
 it with :func:`check_deadline` without any signature plumbing.  Context
-variables are per-thread — worker threads of the parallel backend do not
-inherit the scope, so the watchdog boundaries are the serial orchestration
-points (slab loops, iteration edges, bench laps), which is where a hung
-cell is actually caught.
+variables are per-thread, so :func:`repro.parallel.pool.run_tasks` runs
+every pool task in a copy of the submitting caller's context: slab checks
+inside worker threads see the same deadline as the serial orchestration
+points (iteration edges, bench laps).
 """
 
 from __future__ import annotations

@@ -1,377 +1,18 @@
-"""Chunk-streaming format builders for sharded COO tensors.
+"""The out-of-core HB-CSF build, under its historical name.
 
-Every builder here consumes a :class:`~repro.tensor.shards.ShardedCooTensor`
-through its mode-sorted, deduplicated shard view and emits the exact same
-representation the in-memory builder produces from the materialised tensor
-— **bit-identical**, not just numerically close:
-
-* the sorted view's external merge sort is stable and sums duplicate
-  coordinates with the same left-to-right ``np.bincount`` accumulation as
-  ``CooTensor._sum_duplicates``;
-* :class:`_StreamingCsfAssembler` reproduces ``build_csf``'s boundary-flag
-  construction across chunk edges in two passes (count → allocate exact
-  arrays → fill), so no per-level array is ever built twice;
-* the HB-CSF path never materialises the full CSF tree: a
-  :class:`_PartitionScanner` pass classifies every root slice with the
-  same rules as ``partition_slices`` (and sizes all three groups), then a
-  second pass routes each chunk's rows straight into preallocated COO /
-  CSL arrays and a CSF assembler restricted to the B-CSF slices.  Group
-  membership is per whole slice and the stream is mode-sorted, so each
-  routed sub-stream is itself sorted and gap-free within its slices —
-  the assembled groups match the in-memory carve-out bit for bit.
-
-Peak RSS is therefore bounded by one sort block plus the *output*
-representation — never the raw COO arrays, and for HB-CSF never the
-intermediate full CSF tree either.
+Every CSF-family builder reads its input through the sorted-chunk protocol
+(``sorted_view(mode_order, dedup=True).iter_chunks()``), which an in-memory
+:class:`~repro.tensor.coo.CooTensor` answers with one chunk and a
+:class:`~repro.tensor.shards.ShardedCooTensor` with one chunk per sorted
+shard.  The streaming HB-CSF build is therefore
+:func:`repro.core.hybrid.build_hbcsf` itself; this module keeps the old
+import path.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.core.hybrid import build_hbcsf
 
-from repro.core.bcsf import BcsfTensor, build_bcsf
-from repro.core.csl import CslGroup, build_csl_group, empty_csl_group
-from repro.core.hybrid import HbcsfTensor, SlicePartition
-from repro.core.splitting import SplitConfig
-from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_ordering
-from repro.tensor.csf import CsfTensor
-from repro.tensor.shards import ShardedCooTensor
-from repro.util.errors import DimensionError
+__all__ = ["streaming_hbcsf"]
 
-__all__ = [
-    "streaming_csf",
-    "streaming_bcsf",
-    "streaming_hbcsf",
-    "streaming_csl",
-]
-
-
-def _level_bounds(idx: np.ndarray, mode_order: tuple[int, ...],
-                  prev: np.ndarray | None) -> list[np.ndarray]:
-    """Per-internal-level "new node starts here" flags for one chunk.
-
-    ``prev`` is the last coordinate row of the previous chunk (``None`` at
-    the start of the stream) so node boundaries crossing a chunk edge match
-    the single-pass in-memory flags.
-    """
-    n = idx.shape[0]
-    bounds: list[np.ndarray] = []
-    coarser: np.ndarray | None = None
-    for level in range(len(mode_order) - 1):
-        col = idx[:, mode_order[level]]
-        cur = np.empty(n, dtype=bool)
-        cur[0] = True if prev is None else bool(
-            col[0] != prev[mode_order[level]])
-        cur[1:] = col[1:] != col[:-1]
-        if coarser is not None:
-            cur |= coarser
-        bounds.append(cur)
-        coarser = cur
-    return bounds
-
-
-class _StreamingCsfAssembler:
-    """Two-pass CSF construction over sorted, deduplicated chunks.
-
-    Pass 1 (:meth:`count`) runs the boundary flags over every chunk to size
-    each level; :meth:`allocate` then creates the exact ``fids``/``fptr``
-    arrays; pass 2 (:meth:`fill`) re-runs the flags and writes each chunk's
-    slab.  The last coordinate row of the previous chunk is carried so node
-    boundaries crossing a chunk edge match the single-pass in-memory flags.
-    """
-
-    def __init__(self, shape: tuple[int, ...],
-                 mode_order: tuple[int, ...]) -> None:
-        self.shape = shape
-        self.mode_order = mode_order
-        self.order = len(shape)
-        self.node_counts = [0] * (self.order - 1)
-        self.nnz = 0
-        self._prev: np.ndarray | None = None
-        self._fids: list[np.ndarray] | None = None
-        self._fptr: list[np.ndarray] | None = None
-        self._values: np.ndarray | None = None
-        self._pos: list[int] | None = None
-        self._leaf_pos = 0
-
-    def _bounds(self, idx: np.ndarray) -> list[np.ndarray]:
-        return _level_bounds(idx, self.mode_order, self._prev)
-
-    def count(self, idx: np.ndarray) -> None:
-        if idx.shape[0] == 0:
-            return
-        for level, b in enumerate(self._bounds(idx)):
-            self.node_counts[level] += int(b.sum())
-        self.nnz += int(idx.shape[0])
-        self._prev = np.array(idx[-1])
-
-    def allocate(self) -> None:
-        self._fids = [np.empty(c, dtype=INDEX_DTYPE)
-                      for c in self.node_counts]
-        self._fids.append(np.empty(self.nnz, dtype=INDEX_DTYPE))
-        self._fptr = [np.empty(c + 1, dtype=INDEX_DTYPE)
-                      for c in self.node_counts]
-        self._values = np.empty(self.nnz, dtype=VALUE_DTYPE)
-        self._pos = [0] * (self.order - 1)
-        self._leaf_pos = 0
-        self._prev = None
-
-    def fill(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        if idx.shape[0] == 0:
-            return
-        bounds = self._bounds(idx)
-        csums = [np.cumsum(b) for b in bounds]
-        for level in range(self.order - 1):
-            starts = np.flatnonzero(bounds[level])
-            k = starts.shape[0]
-            p = self._pos[level]
-            self._fids[level][p:p + k] = idx[starts, self.mode_order[level]]
-            if level < self.order - 2:
-                # a parent start is also a child start, so the global child
-                # id at a parent's position is (children completed so far)
-                # + (child boundaries at or before it in this chunk) - 1 —
-                # exactly build_csf's searchsorted(child_starts, starts).
-                self._fptr[level][p:p + k] = (
-                    self._pos[level + 1] + csums[level + 1][starts] - 1)
-            else:
-                self._fptr[level][p:p + k] = self._leaf_pos + starts
-            self._pos[level] += k
-        n = idx.shape[0]
-        self._fids[-1][self._leaf_pos:self._leaf_pos + n] = \
-            idx[:, self.mode_order[-1]]
-        self._values[self._leaf_pos:self._leaf_pos + n] = vals
-        self._leaf_pos += n
-        self._prev = np.array(idx[-1])
-
-    def finish(self) -> CsfTensor:
-        if self.nnz == 0:
-            fids = [np.zeros(0, dtype=INDEX_DTYPE)
-                    for _ in range(self.order)]
-            fptr = [np.zeros(1, dtype=INDEX_DTYPE)
-                    for _ in range(self.order - 1)]
-            return CsfTensor(self.shape, self.mode_order, fptr, fids,
-                             np.zeros(0, dtype=VALUE_DTYPE))
-        for level in range(self.order - 2):
-            self._fptr[level][-1] = self.node_counts[level + 1]
-        self._fptr[self.order - 2][-1] = self.nnz
-        return CsfTensor(self.shape, self.mode_order, self._fptr,
-                         self._fids, self._values)
-
-
-def streaming_csf(sharded: ShardedCooTensor, root_mode: int = 0,
-                  mode_order=None) -> CsfTensor:
-    """Out-of-core equivalent of :func:`repro.tensor.csf.build_csf`."""
-    if mode_order is None:
-        mode_order = csf_mode_ordering(sharded.order, root_mode)
-    else:
-        mode_order = tuple(int(m) for m in mode_order)
-        if sorted(mode_order) != list(range(sharded.order)):
-            raise DimensionError(
-                f"{mode_order} is not a permutation of 0..{sharded.order - 1}")
-    if sharded.order < 2:
-        raise DimensionError("CSF requires an order >= 2 tensor")
-    view = sharded.sorted_view(mode_order, dedup=True)
-    asm = _StreamingCsfAssembler(sharded.shape, mode_order)
-    for chunk in view.iter_chunks():
-        asm.count(chunk.indices)
-    asm.allocate()
-    for chunk in view.iter_chunks():
-        asm.fill(chunk.indices, chunk.values)
-    return asm.finish()
-
-
-def streaming_bcsf(sharded: ShardedCooTensor, mode: int = 0,
-                   config: SplitConfig | None = None) -> BcsfTensor:
-    """Out-of-core equivalent of :func:`repro.core.bcsf.build_bcsf`."""
-    csf = streaming_csf(sharded, mode)
-    return build_bcsf(csf, mode, config)
-
-
-def streaming_csl(sharded: ShardedCooTensor, mode: int = 0) -> CslGroup:
-    """Out-of-core CSL build; raises the same ``ValidationError`` as the
-    in-memory path when a fiber of the selected mode is not a singleton."""
-    csf = streaming_csf(sharded, mode)
-    return build_csl_group(csf)
-
-
-class _PartitionScanner:
-    """One streaming pass collecting, per root index, the statistics
-    Algorithm 5 partitions on — nonzeros per slice and maximum fiber
-    length per slice — plus the per-level node counts of the would-be
-    B-CSF subtree, so :func:`streaming_hbcsf` can preallocate every
-    output array without materialising the full CSF tree or running a
-    second counting pass.
-    """
-
-    def __init__(self, shape: tuple[int, ...],
-                 mode_order: tuple[int, ...]) -> None:
-        self.shape = shape
-        self.mode_order = mode_order
-        self.order = len(shape)
-        dim = shape[mode_order[0]]
-        self.nnz_per_root = np.zeros(dim, dtype=np.int64)
-        # per-root node counts for internal levels 1 .. order-2
-        self.level_counts = [np.zeros(dim, dtype=np.int64)
-                             for _ in range(self.order - 2)]
-        self.max_fiber_len = np.zeros(dim, dtype=np.int64)
-        self._prev: np.ndarray | None = None
-        self._open_len = 0    # nonzeros of the fiber still open at the edge
-        self._open_root = -1  # root index that open fiber belongs to
-
-    def scan(self, idx: np.ndarray) -> None:
-        n = idx.shape[0]
-        if n == 0:
-            return
-        bounds = _level_bounds(idx, self.mode_order, self._prev)
-        dim = self.nnz_per_root.shape[0]
-        root = idx[:, self.mode_order[0]]
-        self.nnz_per_root += np.bincount(root, minlength=dim)
-        for level in range(1, self.order - 1):
-            self.level_counts[level - 1] += np.bincount(
-                root[bounds[level]], minlength=dim)
-        # Fiber lengths are gaps between starts at the deepest internal
-        # level; a fiber spanning a chunk edge is carried as (_open_len,
-        # _open_root) and closed by the next start (or finish()).
-        starts = np.flatnonzero(bounds[self.order - 2])
-        if starts.shape[0] == 0:
-            self._open_len += n
-        else:
-            if self._open_root >= 0:
-                first = self._open_len + int(starts[0])
-                if first > self.max_fiber_len[self._open_root]:
-                    self.max_fiber_len[self._open_root] = first
-            if starts.shape[0] > 1:
-                np.maximum.at(self.max_fiber_len, root[starts[:-1]],
-                              np.diff(starts))
-            self._open_len = n - int(starts[-1])
-            self._open_root = int(root[starts[-1]])
-        self._prev = np.array(idx[-1])
-
-    def finish(self) -> tuple[np.ndarray, SlicePartition]:
-        """Close the last fiber; return (present root ids, partition).
-
-        ``present`` lists the root indices that hold nonzeros in ascending
-        order — exactly the slice order of the in-memory CSF — and the
-        partition masks classify them with the same rules as
-        ``partition_slices``.
-        """
-        if self._open_root >= 0 and \
-                self._open_len > self.max_fiber_len[self._open_root]:
-            self.max_fiber_len[self._open_root] = self._open_len
-        present = np.flatnonzero(self.nnz_per_root)
-        coo_mask = self.nnz_per_root[present] == 1
-        csl_mask = (~coo_mask) & (self.max_fiber_len[present] == 1)
-        csf_mask = ~(coo_mask | csl_mask)
-        partition = SlicePartition(coo_mask, csl_mask, csf_mask)
-        partition.validate()
-        return present, partition
-
-
-def streaming_hbcsf(sharded: ShardedCooTensor, mode: int = 0,
-                    config: SplitConfig | None = None) -> HbcsfTensor:
-    """Out-of-core equivalent of :func:`repro.core.hybrid.build_hbcsf`.
-
-    Identical partition and group contents, but assembled without ever
-    holding the full CSF tree: a :class:`_PartitionScanner` pass sizes the
-    three groups, then each chunk's rows are routed by their root slice's
-    group straight into preallocated COO / CSL arrays or a
-    :class:`_StreamingCsfAssembler` fed only the B-CSF slices.  Because
-    group membership is per whole slice and the stream is mode-sorted,
-    every routed sub-stream is sorted with no slice split across groups,
-    so each group is bit-identical to the in-memory carve-out.
-    """
-    config = config or SplitConfig()
-    if sharded.order < 2:
-        raise DimensionError("HB-CSF requires an order >= 2 tensor")
-    mode_order = csf_mode_ordering(sharded.order, mode)
-    view = sharded.sorted_view(mode_order, dedup=True)
-
-    scanner = _PartitionScanner(sharded.shape, mode_order)
-    for chunk in view.iter_chunks():
-        scanner.scan(chunk.indices)
-    present, partition = scanner.finish()
-    nnz_present = scanner.nnz_per_root[present]
-
-    order = sharded.order
-    root = mode_order[0]
-
-    # COO group: one nonzero per slice, rows in stream (= sorted) order.
-    coo_nnz = int(partition.coo_mask.sum())  # 1 nnz per COO slice
-    coo_idx = np.empty((coo_nnz, order), dtype=INDEX_DTYPE)
-    coo_vals = np.empty(coo_nnz, dtype=VALUE_DTYPE)
-
-    # CSL group: non-root columns in mode_order[1:]; the slice pointer
-    # comes straight from the scanner's per-slice nonzero counts.
-    csl_nnz = int(nnz_present[partition.csl_mask].sum())
-    rest_indices = np.empty((csl_nnz, order - 1), dtype=INDEX_DTYPE)
-    csl_vals = np.empty(csl_nnz, dtype=VALUE_DTYPE)
-
-    # B-CSF group: a CSF assembler whose level sizes are preset from the
-    # scanner's per-root node counts — no count() pass over the stream.
-    csf_roots = present[partition.csf_mask]
-    asm = _StreamingCsfAssembler(sharded.shape, mode_order)
-    asm.node_counts = [csf_roots.shape[0]] + [
-        int(counts[csf_roots].sum()) for counts in scanner.level_counts]
-    asm.nnz = int(nnz_present[partition.csf_mask].sum())
-    asm.allocate()
-
-    # 0 = COO, 1 = CSL, 2 = B-CSF; roots absent from the stream never
-    # appear in a chunk, so their (arbitrary) label is never read.
-    group_of_root = np.zeros(sharded.shape[root], dtype=np.int8)
-    group_of_root[present[partition.csl_mask]] = 1
-    group_of_root[csf_roots] = 2
-
-    coo_pos = csl_pos = 0
-    for chunk in view.iter_chunks():
-        idx, vals = chunk.indices, chunk.values
-        grp = group_of_root[idx[:, root]]
-        sel = grp == 0
-        k = int(sel.sum())
-        if k:
-            coo_idx[coo_pos:coo_pos + k] = idx[sel]
-            coo_vals[coo_pos:coo_pos + k] = vals[sel]
-            coo_pos += k
-        sel = grp == 1
-        k = int(sel.sum())
-        if k:
-            rows = idx[sel]
-            for col, m in enumerate(mode_order[1:]):
-                rest_indices[csl_pos:csl_pos + k, col] = rows[:, m]
-            csl_vals[csl_pos:csl_pos + k] = vals[sel]
-            csl_pos += k
-        sel = grp == 2
-        if sel.any():
-            asm.fill(idx[sel], vals[sel])
-
-    coo_group = (CooTensor(coo_idx, coo_vals, sharded.shape, validate=False)
-                 if coo_nnz else CooTensor.empty(sharded.shape))
-
-    if csl_nnz:
-        slice_ptr = np.concatenate(
-            [[0], np.cumsum(nnz_present[partition.csl_mask])]
-        ).astype(INDEX_DTYPE)
-        csl_group = CslGroup(
-            shape=sharded.shape,
-            mode_order=mode_order,
-            slice_ptr=slice_ptr,
-            slice_inds=present[partition.csl_mask].astype(INDEX_DTYPE),
-            rest_indices=rest_indices,
-            values=csl_vals,
-        )
-        csl_group.validate()
-    else:
-        csl_group = empty_csl_group(sharded.shape, mode_order)
-
-    bcsf_group: BcsfTensor | None = None
-    if asm.nnz:
-        bcsf_group = build_bcsf(asm.finish(), mode, config)
-
-    return HbcsfTensor(
-        shape=sharded.shape,
-        mode_order=mode_order,
-        partition=partition,
-        coo_group=coo_group,
-        csl_group=csl_group,
-        bcsf_group=bcsf_group,
-        config=config,
-    )
+streaming_hbcsf = build_hbcsf

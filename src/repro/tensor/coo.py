@@ -14,7 +14,7 @@ indices are used (the paper's convention, see :mod:`repro.analysis.storage`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -201,6 +201,19 @@ class CooTensor:
             return self
         idx, vals = _sum_duplicates(self.indices, self.values, self.shape)
         return CooTensor(idx, vals, self.shape, validate=False)
+
+    def sorted_view(self, mode_order: Sequence[int] | None = None, *,
+                    dedup: bool = True) -> "CooTensor":
+        """This tensor sorted by ``mode_order`` (duplicates summed with
+        ``dedup``) — the in-memory side of the sorted-chunk protocol that
+        :meth:`ShardedCooTensor.sorted_view
+        <repro.tensor.shards.ShardedCooTensor.sorted_view>` also answers."""
+        source = self.deduplicated() if dedup else self
+        return source.sorted_by_modes(mode_order)
+
+    def iter_chunks(self) -> Iterator["CooTensor"]:
+        """Yield the whole tensor as its one chunk."""
+        yield self
 
     def with_values(self, values: np.ndarray) -> "CooTensor":
         values = np.asarray(values, dtype=VALUE_DTYPE).ravel()

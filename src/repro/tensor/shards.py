@@ -18,9 +18,9 @@ and the shard size, never on append batching.
 over int64-encoded coordinates whose stable runs/merges preserve the
 original appearance order of duplicate coordinates, and whose duplicate
 sums go through ``np.bincount`` exactly like
-``repro.tensor.coo._sum_duplicates`` — the streamed CSF-family builders
-(:mod:`repro.formats.streaming`) rely on this to stay bit-identical to the
-in-memory builds.
+``repro.tensor.coo._sum_duplicates`` — the CSF-family builders, which read
+both inputs through ``sorted_view(...).iter_chunks()``, rely on this to
+build bit-identical representations from either.
 """
 
 from __future__ import annotations

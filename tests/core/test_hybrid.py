@@ -101,12 +101,6 @@ class TestBuild:
         assert d["root_mode"] == 1
         assert d["nnz"] == skewed3d.nnz
 
-    def test_from_prebuilt_csf(self, small3d):
-        csf = build_csf(small3d, 2)
-        hb = build_hbcsf(csf, 2)
-        assert hb.root_mode == 2
-        assert hb.to_coo() == small3d
-
 
 class TestMttkrp:
     @pytest.mark.parametrize("mode", [0, 1, 2])

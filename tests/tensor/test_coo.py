@@ -94,6 +94,18 @@ class TestRoundTrips:
         key = [tuple(row) for row in s.indices[:, [1, 2, 0]]]
         assert key == sorted(key)
 
+    def test_sorted_view_is_one_sorted_chunk(self):
+        t = CooTensor([[1, 0, 2], [0, 1, 1], [1, 0, 2], [0, 0, 3]],
+                      [1.0, 2.0, 3.0, 4.0], (2, 2, 4))
+        view = t.sorted_view((1, 2, 0))
+        chunks = list(view.iter_chunks())
+        assert len(chunks) == 1 and chunks[0] is view
+        want = t.deduplicated().sorted_by_modes((1, 2, 0))
+        np.testing.assert_array_equal(view.indices, want.indices)
+        np.testing.assert_array_equal(view.values, want.values)
+        assert view.nnz == 3
+        assert t.sorted_view((1, 2, 0), dedup=False).nnz == 4
+
     def test_equality_is_order_insensitive(self):
         a = CooTensor([[0, 0, 0], [1, 1, 1]], [1.0, 2.0], (2, 2, 2))
         b = CooTensor([[1, 1, 1], [0, 0, 0]], [2.0, 1.0], (2, 2, 2))
