@@ -259,7 +259,7 @@ def build_hbcsf(tensor, mode: int = 0,
 
     ``tensor`` is a :class:`CooTensor` or a
     :class:`~repro.tensor.shards.ShardedCooTensor`; both are read through
-    ``sorted_view(mode_order, dedup=True).iter_chunks()``.  A
+    ``sorted_view(mode_order).iter_chunks()``.  A
     :class:`_PartitionScanner` pass sizes the three groups, then each
     chunk's rows are routed by their root slice's group straight into
     preallocated COO / CSL arrays or a CSF assembler fed only the B-CSF
@@ -272,7 +272,7 @@ def build_hbcsf(tensor, mode: int = 0,
     order = tensor.order
     mode_order = csf_mode_ordering(order, mode)
     root = mode_order[0]
-    view = tensor.sorted_view(mode_order, dedup=True)
+    view = tensor.sorted_view(mode_order)
 
     scanner = _PartitionScanner(shape, mode_order)
     for chunk in view.iter_chunks():
@@ -294,11 +294,10 @@ def build_hbcsf(tensor, mode: int = 0,
     # B-CSF group: a CSF assembler whose level sizes are preset from the
     # scanner's per-root node counts — no count() pass over the stream.
     csf_roots = present[partition.csf_mask]
-    asm = _CsfAssembler(shape, mode_order)
-    asm.node_counts = [csf_roots.shape[0]] + [
-        int(counts[csf_roots].sum()) for counts in scanner.level_counts]
-    asm.nnz = int(nnz_present[partition.csf_mask].sum())
-    asm.allocate()
+    csf_nnz = int(nnz_present[partition.csf_mask].sum())
+    asm = _CsfAssembler(shape, mode_order, [csf_roots.shape[0]] + [
+        int(counts[csf_roots].sum()) for counts in scanner.level_counts],
+        csf_nnz)
 
     # 0 = COO, 1 = CSL, 2 = B-CSF; roots absent from the stream never
     # appear in a chunk, so their (arbitrary) label is never read.
@@ -348,7 +347,7 @@ def build_hbcsf(tensor, mode: int = 0,
         csl_group = empty_csl_group(shape, mode_order)
 
     bcsf_group: BcsfTensor | None = None
-    if asm.nnz:
+    if csf_nnz:
         bcsf_group = build_bcsf(asm.finish(), mode, config)
 
     return HbcsfTensor(

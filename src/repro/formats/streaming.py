@@ -1,7 +1,7 @@
 """The out-of-core HB-CSF build, under its historical name.
 
 Every CSF-family builder reads its input through the sorted-chunk protocol
-(``sorted_view(mode_order, dedup=True).iter_chunks()``), which an in-memory
+(``sorted_view(mode_order).iter_chunks()``), which an in-memory
 :class:`~repro.tensor.coo.CooTensor` answers with one chunk and a
 :class:`~repro.tensor.shards.ShardedCooTensor` with one chunk per sorted
 shard.  The streaming HB-CSF build is therefore

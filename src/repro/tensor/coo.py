@@ -202,14 +202,13 @@ class CooTensor:
         idx, vals = _sum_duplicates(self.indices, self.values, self.shape)
         return CooTensor(idx, vals, self.shape, validate=False)
 
-    def sorted_view(self, mode_order: Sequence[int] | None = None, *,
-                    dedup: bool = True) -> "CooTensor":
-        """This tensor sorted by ``mode_order`` (duplicates summed with
-        ``dedup``) — the in-memory side of the sorted-chunk protocol that
+    def sorted_view(self, mode_order: Sequence[int] | None = None
+                    ) -> "CooTensor":
+        """This tensor deduplicated and sorted by ``mode_order`` — the
+        in-memory side of the sorted-chunk protocol that
         :meth:`ShardedCooTensor.sorted_view
         <repro.tensor.shards.ShardedCooTensor.sorted_view>` also answers."""
-        source = self.deduplicated() if dedup else self
-        return source.sorted_by_modes(mode_order)
+        return self.deduplicated().sorted_by_modes(mode_order)
 
     def iter_chunks(self) -> Iterator["CooTensor"]:
         """Yield the whole tensor as its one chunk."""

@@ -218,37 +218,43 @@ def _level_bounds(idx: np.ndarray, mode_order: tuple[int, ...],
     return bounds
 
 
-class _CsfAssembler:
-    """Two-pass CSF construction over sorted, deduplicated chunks.
+def _count_nodes(chunks, mode_order: tuple[int, ...]
+                 ) -> tuple[list[int], int]:
+    """Node count of every internal CSF level, and the nonzero count, over
+    a stream of sorted, deduplicated chunks — the sizes
+    :class:`_CsfAssembler` allocates."""
+    node_counts = [0] * (len(mode_order) - 1)
+    nnz = 0
+    prev: np.ndarray | None = None
+    for chunk in chunks:
+        idx = chunk.indices
+        if idx.shape[0] == 0:
+            continue
+        for level, b in enumerate(_level_bounds(idx, mode_order, prev)):
+            node_counts[level] += int(b.sum())
+        nnz += int(idx.shape[0])
+        prev = np.array(idx[-1])
+    return node_counts, nnz
 
-    Pass 1 (:meth:`count`) runs the boundary flags over every chunk to size
-    each level; :meth:`allocate` then creates the exact ``fids``/``fptr``
-    arrays; pass 2 (:meth:`fill`) re-runs the flags and writes each chunk's
-    slab.  A caller that already knows the level sizes (the HB-CSF scanner)
-    sets ``node_counts``/``nnz`` and skips pass 1.  The last coordinate row
-    of the previous chunk is carried so node boundaries crossing a chunk
-    edge are not split.
+
+class _CsfAssembler:
+    """CSF construction over sorted, deduplicated chunks of known size.
+
+    The constructor allocates the exact ``fids``/``fptr`` arrays from the
+    per-level node counts and the nonzero count (from
+    :func:`_count_nodes`, or from the HB-CSF scanner); :meth:`fill` then
+    writes each chunk's slab.  The last coordinate row of the previous
+    chunk is carried so node boundaries crossing a chunk edge are not
+    split.
     """
 
-    def __init__(self, shape: tuple[int, ...],
-                 mode_order: tuple[int, ...]) -> None:
+    def __init__(self, shape: tuple[int, ...], mode_order: tuple[int, ...],
+                 node_counts: Sequence[int], nnz: int) -> None:
         self.shape = shape
         self.mode_order = mode_order
         self.order = len(shape)
-        self.node_counts = [0] * (self.order - 1)
-        self.nnz = 0
-        self._prev: np.ndarray | None = None
-
-    def count(self, idx: np.ndarray) -> None:
-        if idx.shape[0] == 0:
-            return
-        for level, b in enumerate(_level_bounds(idx, self.mode_order,
-                                                self._prev)):
-            self.node_counts[level] += int(b.sum())
-        self.nnz += int(idx.shape[0])
-        self._prev = np.array(idx[-1])
-
-    def allocate(self) -> None:
+        self.node_counts = list(node_counts)
+        self.nnz = int(nnz)
         self._fids = [np.empty(c, dtype=INDEX_DTYPE)
                       for c in self.node_counts]
         self._fids.append(np.empty(self.nnz, dtype=INDEX_DTYPE))
@@ -257,7 +263,7 @@ class _CsfAssembler:
         self._values = np.empty(self.nnz, dtype=VALUE_DTYPE)
         self._pos = [0] * (self.order - 1)
         self._leaf_pos = 0
-        self._prev = None
+        self._prev: np.ndarray | None = None
 
     def fill(self, idx: np.ndarray, vals: np.ndarray) -> None:
         if idx.shape[0] == 0:
@@ -303,7 +309,8 @@ def build_csf(tensor, root_mode: int = 0,
     tensor:
         Input tensor: a :class:`CooTensor` or a
         :class:`~repro.tensor.shards.ShardedCooTensor`.  Both answer
-        ``sorted_view(mode_order, dedup=True).iter_chunks()`` — one chunk
+        ``sorted_view(mode_order).iter_chunks()`` — one sorted, deduplicated
+        chunk
         in memory, one per sorted shard out of core — and the tree is
         assembled from those chunks in two passes, so a sharded build never
         holds the raw COO arrays.
@@ -325,11 +332,9 @@ def build_csf(tensor, root_mode: int = 0,
     if tensor.order < 2:
         raise DimensionError("CSF requires an order >= 2 tensor")
 
-    view = tensor.sorted_view(mode_order, dedup=True)
-    asm = _CsfAssembler(tensor.shape, mode_order)
-    for chunk in view.iter_chunks():
-        asm.count(chunk.indices)
-    asm.allocate()
+    view = tensor.sorted_view(mode_order)
+    node_counts, nnz = _count_nodes(view.iter_chunks(), mode_order)
+    asm = _CsfAssembler(tensor.shape, mode_order, node_counts, nnz)
     for chunk in view.iter_chunks():
         asm.fill(chunk.indices, chunk.values)
     return asm.finish()
