@@ -30,9 +30,7 @@ class TestFormatConstruction:
 
 
 class TestExactMttkrp:
-    @pytest.mark.parametrize("target", ["kernel.coo", "kernel.coo-scatter",
-                                        "kernel.coo-sorted",
-                                        "kernel.coo-bincount"])
+    @pytest.mark.parametrize("target", ["kernel.coo"])
     def test_bench_coo_mttkrp(self, benchmark, deli_tensor, target):
         out = run_target(benchmark, target, deli_tensor)
         assert out.shape[0] == deli_tensor.shape[0]

@@ -3,10 +3,10 @@
 Runs a small kernel-vs-scenario matrix through :mod:`repro.bench` (the four
 MTTKRP kernel formats against the ``structure_zoo`` suite at a tiny
 budget), prints the resulting table, then demonstrates the regression
-comparator: the COO scatter path (``np.add.at``) is benchmarked as the
-"baseline" and the sorted segment-sum path as the "candidate", so the
-compare verdict shows the accumulation-path optimisation as a measured
-improvement — the exact before/after story every perf PR should attach.
+comparator: the COO kernel is benchmarked in float64 as the "baseline" and
+in float32 as the "candidate", so the compare verdict shows what halving
+the bytes per value buys — the before/after story every perf PR should
+attach.
 
 Run with::
 
@@ -16,7 +16,6 @@ Run with::
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from repro.bench import (
@@ -52,21 +51,19 @@ def main() -> None:
     print(format_table(rows))
 
     # ---- 2. a before/after comparison -------------------------------- #
-    # the "small" budget keeps enough nonzeros per scenario that the
-    # accumulation paths separate from timer noise
-    compare_config = BenchConfig.from_budget("small")
-    baseline = run_benchmarks(["kernel.coo-scatter"], scenarios,
-                              compare_config, name="scatter-baseline")
-    candidate = run_benchmarks(["kernel.coo-sorted"], scenarios,
-                               compare_config, name="sorted-candidate")
-    # compare_runs lines cells up by (target, scenario); relabel both
-    # runs' targets so the cells describe "the COO kernel"
-    for run in (baseline, candidate):
-        run.measurements = [replace(m, target="kernel.coo")
-                            for m in run.measurements]
+    # the "small" budget keeps enough nonzeros per scenario that the two
+    # precisions separate from timer noise
+    baseline = run_benchmarks(
+        ["kernel.coo"], scenarios,
+        BenchConfig.from_budget("small", dtype="float64"),
+        name="float64-baseline")
+    candidate = run_benchmarks(
+        ["kernel.coo"], scenarios,
+        BenchConfig.from_budget("small", dtype="float32"),
+        name="float32-candidate")
 
     report = compare_runs(baseline, candidate, threshold=0.10)
-    print("\nscatter (np.add.at) -> sorted segment-sum, per scenario\n")
+    print("\nCOO kernel, float64 -> float32, per scenario\n")
     print(format_table(report.rows()))
     counts = report.counts()
     print(f"\nimprovements: {counts['improvement']}, neutral: "

@@ -287,24 +287,6 @@ def _register_registry_targets() -> None:
             _register_sim(fmt_name)
 
 
-def _register_coo_variant(suffix: str, method: str) -> None:
-    @register_target(f"kernel.coo-{suffix}", group="kernel",
-                     description=f"COO MTTKRP forced onto the {method!r} "
-                                 "accumulation path")
-    def _kernel(tensor: CooTensor, rank: int, dtype=None,
-                _method: str = method) -> Callable[[], object]:
-        from repro.kernels.coo_mttkrp import coo_mttkrp
-
-        factors = bench_factors(tensor.shape, rank, dtype)
-        return lambda: coo_mttkrp(tensor, factors, 0, method=_method,
-                                  dtype=dtype)
-
-
-for _suffix, _method in (("scatter", "add_at"), ("sorted", "sort"),
-                         ("bincount", "bincount")):
-    _register_coo_variant(_suffix, _method)
-
-
 @register_target("kernel.dispatch", group="kernel",
                  description="public mttkrp() registry dispatch, hb-csf "
                              "(format construction served by the plan cache)")

@@ -5,26 +5,24 @@ For every nonzero ``X[i0, ..., i_{N-1}]`` the kernel forms the elementwise
 the target mode's, scales it by the value and accumulates it into the output
 row of the target mode.
 
-Three accumulation strategies are available:
+The accumulation is ``np.add.at``, the vectorized form of the atomic add
+Algorithm 2 issues per output element: every ``acc[i, r]`` is added into
+``out[idx[i], r]`` one scalar at a time, in input order.  A shard holding
+a contiguous run of the input therefore reproduces the serial sums bit for
+bit.  HB-CSF (Algorithm 5) routes only single-nonzero slices to its COO
+group, so there every output row is distinct and there is nothing to
+reduce.
 
-* ``"add_at"`` — ``np.add.at`` scatter-accumulate, the vectorized
-  equivalent of the atomic adds the GPU COO kernels (ParTI) issue.  Its
-  random-access write pattern is cache-hostile on large tensors.
-* ``"sort"`` — sorted segment-sum: stable-argsort the target-mode indices,
-  reduce each run of equal indices with one ``np.add.reduceat`` over all
-  ``R`` columns at once, and scatter the per-row totals.  One radix sort
-  plus sequential reductions; the fastest path once nnz is large.
-* ``"bincount"`` — one sort-free ``np.bincount(weights=...)`` pass per
-  factor column.  Kept as an alternative dense-output path (it can win when
-  ``R`` is very small); measured slower than ``"sort"`` at the paper's
-  ``R = 32`` on NumPy 2.x.  Serial-only: each pass read-modify-writes the
-  full output column, so the threaded backend (whose shards share the
-  output array) rejects it.
-
-``"auto"`` (the default) picks ``"sort"`` for large-nnz tensors and keeps
-the scatter path for tiny ones, where sort overhead dominates.  All paths
-produce the same sums up to float addition order (they agree to allclose
-tolerance; per-row partial sums are reassociated).
+``np.add.at`` runs on the flattened output with flat element indices, in
+slabs of :data:`SLAB_NNZ` nonzeros: NumPy's indexed 1-D loop is 2-4x faster
+than ``np.add.at(out, idx, acc)`` over ``(nnz, R)`` rows, the result is
+bit-identical (the same scalar adds in the same order), and a slab's
+index scratch stays cache-sized.  A stable-argsort plus ``np.add.reduceat``
+segment sum does not pay for its sort here: at R=32 (NumPy 2.4, 2 x86
+cores) its accumulate step took 0.19 ms against 0.19 ms for the slabbed
+``np.add.at`` at 2390 nonzeros and 31 per row, 394 ms against 60 ms at
+2e5 distinct rows, 75 ms against 22-27 ms at 2e5 nonzeros and 30 per row,
+and 1.09 s against 0.13 s at 1e6 nonzeros and 3 per row.
 
 The Hadamard accumulator is formed by scaling the *first* gathered factor
 by the values directly — no ``(nnz, R)`` all-ones matrix is materialised —
@@ -32,11 +30,11 @@ and is computed in the requested compute dtype (``float32`` halves the
 memory traffic of this bandwidth-bound kernel; see
 :mod:`repro.util.dtypes`).  It stays row-major ``(nnz, R)``, unlike the
 CSF tree's rank-major scratch (:mod:`repro.kernels.csf_mttkrp`): COO has
-no tree levels, only the ``"sort"`` accumulator's single reduction, and
-converting the non-target factors to ``(R, I)`` on every call costs
-0.06-0.08 s per mode on the ``als-hypersparse`` benchmark tensor
-(2e5-4e5-row factors, R=32, 2 x86 cores).  That is a quarter to a half of
-the 0.15-0.26 s its 7e4-1.2e5-nnz HB-CSF COO group takes.
+no tree levels to reduce, and converting the non-target factors to
+``(R, I)`` on every call would cost more than the whole kernel: on the
+``als-hypersparse`` benchmark tensor (2e5-4e5-row factors, R=32, 2 x86
+cores) the conversion took 0.15-0.28 s per mode against 0.05-0.12 s for
+the kernel on its 7e4-1.2e5-nnz HB-CSF COO groups.
 """
 
 from __future__ import annotations
@@ -46,48 +44,29 @@ import numpy as np
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
-from repro.util.errors import DimensionError, ValidationError
+from repro.util.errors import DimensionError
 
-__all__ = ["coo_mttkrp", "COO_ACCUMULATE_METHODS", "SORT_MIN_NNZ"]
+__all__ = ["coo_mttkrp"]
 
-#: accumulation strategies accepted by :func:`coo_mttkrp`.
-COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort", "bincount")
-
-#: nnz threshold above which ``"auto"`` switches from the ``"add_at"``
-#: scatter path to the ``"sort"`` segment-sum path.  Below it the stable
-#: argsort costs more than it saves; above it the sequential
-#: ``np.add.reduceat`` writes beat ``np.add.at``'s random-access scatter by
-#: ~1.3-1.4x at the paper's ``R = 32`` (measured on NumPy 2.x; see
-#: ``BENCH_kernels.json``, targets ``kernel.coo-scatter`` vs
-#: ``kernel.coo-sorted``).  The empirical autotuner (:mod:`repro.tune`)
-#: refines this static default per tensor.
-SORT_MIN_NNZ = 2048
+#: nonzeros per ``np.add.at`` call: the flat index scratch of one slab is
+#: ``SLAB_NNZ x R`` int64 (1 MB at R=32).  1024-16384 measured within noise
+#: of each other at 2e3-1e6 nnz; 2^16 and up ran 1.1-1.7x slower.
+SLAB_NNZ = 1 << 12
 
 
-def _accumulate_add_at(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    np.add.at(out, idx, acc)
-
-
-def _accumulate_sort(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    sorted_acc = acc[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(sorted_idx)) + 1))
-    out[sorted_idx[starts]] += np.add.reduceat(sorted_acc, starts, axis=0)
-
-
-def _accumulate_bincount(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    rows = out.shape[0]
-    for r in range(acc.shape[1]):
-        out[:, r] += np.bincount(idx, weights=acc[:, r], minlength=rows)
-
-
-_ACCUMULATORS = {
-    "add_at": _accumulate_add_at,
-    "sort": _accumulate_sort,
-    "bincount": _accumulate_bincount,
-}
+def _atomic_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
+    """``out[idx[i], r] += acc[i, r]`` for every ``i`` in order — exactly
+    ``np.add.at(out, idx, acc)``, through the fast 1-D indexed loop."""
+    if not out.flags.c_contiguous:  # no flat view to scatter into
+        np.add.at(out, idx, acc)
+        return
+    rank = out.shape[1]
+    flat = out.reshape(-1)
+    cols = np.arange(rank)
+    for a in range(0, idx.shape[0], SLAB_NNZ):
+        b = a + SLAB_NNZ
+        np.add.at(flat, (idx[a:b, None] * rank + cols).ravel(),
+                  acc[a:b].ravel())
 
 
 def coo_mttkrp(
@@ -95,7 +74,6 @@ def coo_mttkrp(
     factors: list[np.ndarray],
     mode: int,
     out: np.ndarray | None = None,
-    method: str = "auto",
     dtype=None,
     validate: bool = True,
 ) -> np.ndarray:
@@ -114,25 +92,14 @@ def coo_mttkrp(
         Optional pre-allocated ``(shape[mode], R)`` output; accumulated into
         (not cleared), mirroring the GPU kernels' atomic accumulation.  Its
         dtype determines the compute dtype.
-    method:
-        ``"auto"`` (default), ``"add_at"``, ``"sort"`` or ``"bincount"`` —
-        see the module docstring.
     dtype:
         Compute dtype when ``out`` is not supplied (``float32`` /
         ``float64``; default float64).
     validate:
-        Skip the method and factor-shape checks when ``False`` — for
-        trusted internal re-invocations (ALS inner loops, HB-CSF group
-        dispatch) where the shapes were validated once up front.
+        Skip the factor-shape checks when ``False`` — for trusted
+        internal re-invocations (ALS inner loops, HB-CSF group dispatch)
+        where the shapes were validated once up front.
     """
-    # The method check is O(1) — unlike the shape scans it is never worth
-    # skipping, and a typo'd method must not surface as a KeyError after
-    # the full accumulation.
-    if method not in COO_ACCUMULATE_METHODS:
-        raise ValidationError(
-            f"unknown COO accumulation method {method!r}; choose one of "
-            f"{', '.join(COO_ACCUMULATE_METHODS)}"
-        )
     if validate:
         rank = _check_factors(tensor.shape, factors, mode)
     else:
@@ -166,7 +133,5 @@ def coo_mttkrp(
     if acc is None:  # order-1 tensor: no non-target factors to gather
         acc = np.repeat(values[:, None], rank, axis=1)
 
-    if method == "auto":
-        method = "sort" if tensor.nnz >= SORT_MIN_NNZ else "add_at"
-    _ACCUMULATORS[method](out, tensor.indices[:, mode], acc)
+    _atomic_add(out, tensor.indices[:, mode], acc)
     return out

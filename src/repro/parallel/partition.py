@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.coo_mttkrp import SORT_MIN_NNZ
 from repro.parallel.lpt import lpt_assign
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import CsfTensor
@@ -75,16 +74,12 @@ class Shard:
     ``kind`` selects the executing kernel (``"coo"`` / ``"csf"`` /
     ``"csl"``); ``rep`` is the sub-representation (array views into the
     parent wherever the formats allow); ``cost`` is the nnz-based load
-    estimate LPT balanced.  COO shards carry the accumulation method the
-    serial kernel would have chosen for the *full* representation
-    (``coo_method``), so the threaded result replays serial's exact
-    strategy.
+    estimate LPT balanced.
     """
 
     kind: str
     rep: object
     cost: float
-    coo_method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -189,14 +184,11 @@ def _assemble(format: str, mode: int, num_workers: int,
 def _coo_shards(rep: CooTensor, mode: int, num_workers: int) -> list[Shard]:
     """Row-run chunks of a mode-major-sorted COO tensor.
 
-    The accumulation method is pinned to what the serial kernel's
-    ``"auto"`` would pick from the FULL nnz — per-shard nnz falls below
-    :data:`SORT_MIN_NNZ` long before the serial path would, and switching
-    strategies per shard would not be the serial computation any more.
+    Each chunk is a contiguous slice of the input, so ``np.add.at`` adds
+    every row's nonzeros in the same order as the serial kernel.
     """
     if rep.nnz == 0:
         return []
-    method = "sort" if rep.nnz >= SORT_MIN_NNZ else "add_at"
     idx = rep.indices[:, mode]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
     edges = np.concatenate((starts, [rep.nnz]))
@@ -207,8 +199,7 @@ def _coo_shards(rep: CooTensor, mode: int, num_workers: int) -> list[Shard]:
         a, b = int(edges[r0]), int(edges[r1])
         sub = CooTensor(rep.indices[a:b], rep.values[a:b], rep.shape,
                         validate=False)
-        shards.append(Shard(kind="coo", rep=sub, cost=float(b - a),
-                            coo_method=method))
+        shards.append(Shard(kind="coo", rep=sub, cost=float(b - a)))
     return shards
 
 

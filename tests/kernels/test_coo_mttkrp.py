@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels.coo_mttkrp import SORT_MIN_NNZ, coo_mttkrp
+from repro.kernels.coo_mttkrp import coo_mttkrp
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import einsum_mttkrp
 from repro.tensor.random_gen import random_coo
-from repro.util.errors import DimensionError, ValidationError
+from repro.util.errors import DimensionError
 from repro.util.prng import default_rng
 from tests.conftest import make_factors
+from tests.kernels.test_coo_accumulator_reference import (
+    assert_bits_equal,
+    coo_mttkrp_reference,
+)
 
 
 class TestCorrectness:
@@ -54,32 +58,38 @@ class TestCorrectness:
 
 
 class TestAccumulationMethods:
+    """The one ``np.add.at`` accumulator against frozen copies of the
+    ``sort`` and ``bincount`` accumulators it replaced (see
+    :mod:`tests.kernels.test_coo_accumulator_reference`), on rows that
+    repeat: ``bincount`` summed each row in the same order, so it matches
+    bit for bit; the segment sum reassociates, so it matches to allclose."""
+
     @pytest.mark.parametrize("method", ["sort", "bincount"])
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_fast_paths_match_add_at(self, small3d, factors3d, mode, method):
-        a = coo_mttkrp(small3d, factors3d, mode, method="add_at")
-        b = coo_mttkrp(small3d, factors3d, mode, method=method)
-        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-14)
-
-    def test_auto_matches_reference_large(self):
-        tensor = random_coo((40, 30, 50), 3 * SORT_MIN_NNZ, default_rng(7))
-        assert tensor.nnz >= SORT_MIN_NNZ
-        factors = make_factors(tensor.shape, 8, seed=11)
-        auto = coo_mttkrp(tensor, factors, 0)  # auto -> sort here
-        want = einsum_mttkrp(tensor, factors, 0)
-        np.testing.assert_allclose(auto, want, rtol=1e-9, atol=1e-9)
+        assert np.unique(small3d.indices[:, mode]).size < small3d.nnz
+        got = coo_mttkrp(small3d, factors3d, mode)
+        frozen = coo_mttkrp_reference(small3d, factors3d, mode,
+                                      method=method)
+        if method == "bincount":
+            assert_bits_equal(got, frozen)
+        np.testing.assert_allclose(got, frozen, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("method", ["sort", "bincount"])
     def test_fast_paths_accumulate_into_out(self, small3d, factors3d, method):
         base = np.ones((small3d.shape[0], factors3d[0].shape[1]))
-        got = coo_mttkrp(small3d, factors3d, 0, out=base, method=method)
-        want = 1.0 + coo_mttkrp(small3d, factors3d, 0, method="add_at")
+        got = coo_mttkrp(small3d, factors3d, 0, out=base)
+        want = coo_mttkrp_reference(small3d, factors3d, 0,
+                                    out=np.ones_like(base), method=method)
         assert got is base
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_unknown_method_rejected(self, small3d, factors3d):
-        with pytest.raises(ValidationError):
-            coo_mttkrp(small3d, factors3d, 0, method="magic")
+    def test_auto_matches_reference_large(self):
+        tensor = random_coo((40, 30, 50), 6_144, default_rng(7))
+        factors = make_factors(tensor.shape, 8, seed=11)
+        got = coo_mttkrp(tensor, factors, 0)
+        want = einsum_mttkrp(tensor, factors, 0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 class TestOutParameter:

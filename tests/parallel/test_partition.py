@@ -86,18 +86,6 @@ def test_partition_invariants(name, workers, skewed3d):
         assert order == sorted(order)
 
 
-def test_coo_method_pinned_from_full_nnz(skewed3d):
-    from repro.kernels.coo_mttkrp import SORT_MIN_NNZ
-
-    spec, built, plan = _plans("coo", skewed3d, 0, 4)
-    expected = "sort" if skewed3d.nnz >= SORT_MIN_NNZ else "add_at"
-    assert all(s.coo_method == expected for s in plan.shards)
-    # shards are individually far smaller than the threshold, yet keep
-    # the full-tensor method — per-shard re-deciding would not replay the
-    # serial computation
-    assert any(_shard_nnz(s) < SORT_MIN_NNZ for s in plan.shards)
-
-
 @pytest.mark.parametrize("name", ["coo", "csf", "b-csf", "hb-csf", "csl"])
 def test_cached_plan_footprint_counts_pinned_arrays(name, skewed3d):
     """A cached ShardPlan pins the parent's index/value arrays through its

@@ -106,18 +106,31 @@ def test_cp_als_trajectory_identical(skewed3d):
         assert np.array_equal(a, b)
 
 
-def test_threaded_rejects_bincount(skewed3d):
-    """The bincount accumulator writes every output row (one full-column
-    ``+=`` per factor column), so sharded execution would race on the
-    shared output — the threaded backend must refuse it outright."""
-    from repro.parallel.execute import threaded_mttkrp
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_coo_small_shards_of_a_large_tensor_bit_identical(dtype):
+    """Every shard of a >= 2048-nnz COO tensor with repeated output rows
+    holds fewer than 2048 nonzeros and starts its ``np.add.at`` slabs at
+    other offsets than the serial kernel; each shard is a contiguous run of
+    the input, so threads still add every row's nonzeros in serial order."""
+    from repro.parallel.partition import shard_plan_for
+    from repro.tensor.random_gen import random_coo
 
+    tensor = random_coo((64, 30, 40), 6_000, default_rng(13))
+    assert tensor.nnz >= 2048
     spec = get_format("coo")
-    built = build_plan(skewed3d, "coo", 0)
-    factors = make_factors(skewed3d.shape, 8, seed=41)
-    with pytest.raises(ValidationError, match="serial-only"):
-        threaded_mttkrp(spec, built.rep, factors, 0,
-                        coo_method="bincount", num_workers=2)
+    built = build_plan(tensor, "coo", 0, None, dtype)
+    assert np.unique(built.rep.indices[:, 0]).size < built.rep.nnz
+    factors = [f.astype(dtype) for f in make_factors(tensor.shape, 8,
+                                                     seed=41)]
+    serial = spec.mttkrp(built.rep, factors, 0, dtype=dtype,
+                         backend="serial")
+    bits = np.uint64 if dtype == "float64" else np.uint32
+    for workers in (2, 4):
+        plan = shard_plan_for(spec, built.rep, 0, workers, built.key)
+        assert max(s.rep.nnz for s in plan.shards) < 2048
+        threaded = spec.mttkrp(built.rep, factors, 0, dtype=dtype,
+                               backend="threads", num_workers=workers)
+        assert np.array_equal(serial.view(bits), threaded.view(bits))
 
 
 def test_baseline_formats_fall_back_to_serial(small3d):

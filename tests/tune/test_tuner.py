@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.mttkrp import MttkrpPlan, mttkrp
-from repro.formats import build_plan
-from repro.kernels.coo_mttkrp import coo_mttkrp
 from repro.tensor.dense import dense_mttkrp
 from repro.tune import (
     ProbeBudget,
@@ -40,10 +38,25 @@ class TestRankBucket:
 
 
 class TestEnumerateCandidates:
-    def test_coo_expands_into_variants(self, medium3d):
+    def test_one_coo_candidate(self, medium3d):
         labels = [c.label for c in enumerate_candidates(medium3d, 0)]
-        assert labels[:3] == ["coo:add_at", "coo:sort", "coo:bincount"]
+        assert labels[0] == "coo"
+        assert [lbl for lbl in labels if lbl.startswith("coo")] == ["coo"]
         assert "csf" in labels and "b-csf" in labels and "hb-csf" in labels
+
+    def test_winner_labels_name_formats_only(self, medium3d):
+        """Elections tally under plain format labels: COO is one kernel,
+        so no ``coo:<method>`` key ever appears."""
+        decision_cache().clear()
+        candidates = enumerate_candidates(medium3d, 0)
+        table = {c.label: (1e-6 if c.format == "coo" else 1.0)
+                 for c in candidates}
+        decision = decide(medium3d, 0, 32, measure=fixed_measure(table),
+                          use_cache=False, backend="serial")
+        assert decision.label == "coo"
+        winners = decision_cache_stats()["winners"]
+        assert winners == {"coo": 1}
+        assert not any(":" in label for label in winners)
 
     def test_csl_only_when_eligible(self, medium3d, singleton3d):
         assert "csl" not in [c.label for c in enumerate_candidates(medium3d, 0)]
@@ -154,13 +167,8 @@ class TestAutoDispatch:
         for mode in range(medium3d.order):
             auto = mttkrp(medium3d, factors, mode, format="auto")
             decision = decide(medium3d, mode, 32)   # cache hit: same winner
-            if decision.coo_method is not None:
-                rep = build_plan(medium3d, "coo", mode).rep
-                explicit = coo_mttkrp(rep, factors, mode,
-                                      method=decision.coo_method)
-            else:
-                explicit = mttkrp(medium3d, factors, mode,
-                                  format=decision.format)
+            explicit = mttkrp(medium3d, factors, mode,
+                              format=decision.format)
             assert auto.dtype == np.float64
             assert np.array_equal(auto, explicit)
 
